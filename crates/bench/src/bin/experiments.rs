@@ -19,6 +19,21 @@ use ddos_bench::{
     zoo, Scale,
 };
 
+/// Every accepted experiment name (`fig4` is an alias of `fig3`).
+const EXPERIMENTS: [&str; 11] = [
+    "table1",
+    "cdf",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "comparison",
+    "zoo",
+    "drift",
+    "usecases",
+    "all",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut what = "all".to_string();
@@ -57,6 +72,12 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+
+    // Reject a bad name before the (seconds-long) corpus generation.
+    if !EXPERIMENTS.contains(&what.as_str()) {
+        eprintln!("unknown experiment {what:?}; use {}", EXPERIMENTS.join("|"));
+        std::process::exit(2);
     }
 
     eprintln!("generating corpus (scale {scale:?}, seed {seed})...");
@@ -101,11 +122,6 @@ fn main() {
             run("drift", drift(seed));
             run("usecases", usecases(&c, seed));
         }
-        other => {
-            eprintln!(
-                "unknown experiment {other:?}; use table1|cdf|fig1|fig2|fig3|comparison|zoo|drift|usecases|all"
-            );
-            std::process::exit(2);
-        }
+        other => unreachable!("experiment {other:?} passed validation"),
     }
 }

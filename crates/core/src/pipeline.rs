@@ -23,7 +23,7 @@ use crate::{ModelError, Result};
 use ddos_neural::nar::NarModel;
 use ddos_stats::exec::map_indexed;
 use ddos_stats::metrics::rmse;
-use ddos_trace::{AttackRecord, Corpus, FamilyId};
+use ddos_trace::{AttackRecord, Corpus, FamilyId, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::PathBuf;
@@ -452,15 +452,28 @@ impl Pipeline {
         SpatialConfig { parallelism: self.config.parallelism, ..self.config.spatial.clone() }
     }
 
+    /// Launch time of the first test attack: the paper's split is global-
+    /// chronological, and every per-family or per-network split cuts here.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`Corpus::split`] errors, including a corpus too small
+    /// to split.
+    fn cut_time(&self, corpus: &Corpus) -> Result<Timestamp> {
+        let (_, test) = corpus.split(self.config.split)?;
+        test.first().map(|a| a.start).ok_or_else(|| ModelError::NotEnoughHistory {
+            context: "chronological test split".to_string(),
+            required: 1,
+            actual: 0,
+        })
+    }
+
     fn family_split<'c>(
         &self,
         corpus: &'c Corpus,
         family: FamilyId,
+        cut_time: Timestamp,
     ) -> Result<(Vec<&'c AttackRecord>, Vec<&'c AttackRecord>)> {
-        // The split is global-chronological (as in the paper), then
-        // restricted per family.
-        let (train, test) = corpus.split(self.config.split)?;
-        let cut_time = test.first().expect("nonempty test").start;
         let fam = corpus.family_attacks(family);
         if fam.is_empty() {
             return Err(ModelError::NoAttacksForFamily(family));
@@ -469,7 +482,6 @@ impl Pipeline {
             fam.iter().copied().filter(|a| a.start < cut_time).collect();
         let test_fam: Vec<&AttackRecord> =
             fam.iter().copied().filter(|a| a.start >= cut_time).collect();
-        let _ = train;
         Ok((train_fam, test_fam))
     }
 
@@ -483,12 +495,13 @@ impl Pipeline {
     ///
     /// Propagates corpus-split errors.
     pub fn fit_temporal(&self, corpus: &Corpus) -> Result<Vec<TemporalModel>> {
+        let cut_time = self.cut_time(corpus)?;
         let fx = FeatureExtractor::new(corpus);
         let families = self.families(corpus);
         // Each family's ARIMA stack fits on its own shard; the in-order
         // reduction keeps the model list identical at any worker count.
         let fitted = map_indexed(&families, self.config.parallelism, |_, &family| {
-            let Ok((train, test)) = self.family_split(corpus, family) else {
+            let Ok((train, test)) = self.family_split(corpus, family, cut_time) else {
                 return None;
             };
             if test.is_empty() {
@@ -513,11 +526,12 @@ impl Pipeline {
         corpus: &Corpus,
         models: &[TemporalModel],
     ) -> Result<TemporalReport> {
+        let cut_time = self.cut_time(corpus)?;
         let fx = FeatureExtractor::new(corpus);
         let mut per_family = Vec::new();
         for model in models {
             let family = model.family();
-            let Ok((_, test)) = self.family_split(corpus, family) else { continue };
+            let Ok((_, test)) = self.family_split(corpus, family, cut_time) else { continue };
             if test.is_empty() {
                 continue;
             }
@@ -564,12 +578,13 @@ impl Pipeline {
         &self,
         corpus: &Corpus,
     ) -> Result<Vec<(FamilyId, SourceDistributionModel)>> {
+        let cut_time = self.cut_time(corpus)?;
         let families = self.families(corpus);
         let spatial = self.spatial_config();
         // One shard per family; reduce in family order for a worker-count
         // independent model list.
         let fitted = map_indexed(&families, self.config.parallelism, |_, &family| {
-            let Ok((train, test)) = self.family_split(corpus, family) else {
+            let Ok((train, test)) = self.family_split(corpus, family, cut_time) else {
                 return None;
             };
             if test.is_empty() {
@@ -592,9 +607,10 @@ impl Pipeline {
         corpus: &Corpus,
         models: &[(FamilyId, SourceDistributionModel)],
     ) -> Result<SpatialDistReport> {
+        let cut_time = self.cut_time(corpus)?;
         let mut per_family = Vec::new();
         for (family, model) in models {
-            let Ok((_, test)) = self.family_split(corpus, *family) else { continue };
+            let Ok((_, test)) = self.family_split(corpus, *family, cut_time) else { continue };
             if test.is_empty() {
                 continue;
             }
@@ -675,8 +691,7 @@ impl Pipeline {
         corpus: &Corpus,
         max_networks: usize,
     ) -> Result<Vec<SpatialModel>> {
-        let (_, test_all) = corpus.split(self.config.split)?;
-        let cut_time = test_all.first().expect("nonempty test").start;
+        let cut_time = self.cut_time(corpus)?;
         let networks = corpus.hottest_target_asns(max_networks);
         let spatial = self.spatial_config();
         // One shard per victim network, hottest first; each network's NAR
@@ -708,8 +723,7 @@ impl Pipeline {
         corpus: &Corpus,
         models: &[SpatialModel],
     ) -> Result<SpatialDurationReport> {
-        let (_, test_all) = corpus.split(self.config.split)?;
-        let cut_time = test_all.first().expect("nonempty test").start;
+        let cut_time = self.cut_time(corpus)?;
         let mut per_network = Vec::new();
         for model in models {
             let asn = model.asn();
@@ -860,6 +874,7 @@ impl Pipeline {
     ///
     /// Propagates model errors.
     pub fn run_baseline_comparison(&self, corpus: &Corpus) -> Result<RmseTable> {
+        let cut_time = self.cut_time(corpus)?;
         let fx = FeatureExtractor::new(corpus);
         let mut table = RmseTable::new();
         let mut evaluated = 0usize;
@@ -870,7 +885,7 @@ impl Pipeline {
             if evaluated >= 5 {
                 break;
             }
-            let Ok((train, test)) = self.family_split(corpus, family) else { continue };
+            let Ok((train, test)) = self.family_split(corpus, family, cut_time) else { continue };
             if train.len() < 30 || test.len() < 5 {
                 continue;
             }
@@ -1146,6 +1161,28 @@ mod tests {
         other.run_spatiotemporal(&c).unwrap();
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn one_attack_corpus_is_a_typed_error_not_a_panic() {
+        let c = corpus();
+        let single = Corpus::new(
+            c.attacks()[..1].to_vec(),
+            c.catalog().clone(),
+            c.topology().clone(),
+            c.ip_map().clone(),
+            c.targets().clone(),
+            c.days(),
+        )
+        .unwrap();
+        let p = Pipeline::new(PipelineConfig::fast(), 3);
+        let too_few = |r: Result<()>| {
+            matches!(r, Err(ModelError::Trace(ddos_trace::TraceError::TooFewToSplit(1))))
+        };
+        assert!(too_few(p.fit_temporal(&single).map(drop)));
+        assert!(too_few(p.fit_spatial_distribution(&single).map(drop)));
+        assert!(too_few(p.fit_spatial_durations(&single, 4).map(drop)));
+        assert!(too_few(p.serve_spatial_durations(&single, &[]).map(drop)));
     }
 
     #[test]

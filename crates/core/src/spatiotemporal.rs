@@ -1032,7 +1032,7 @@ fn median(v: &[f64]) -> f64 {
         return 0.0;
     }
     let mut s = v.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).expect("finite gaps"));
+    s.sort_by(f64::total_cmp);
     s[s.len() / 2]
 }
 
@@ -1046,6 +1046,15 @@ mod tests {
     use super::*;
     use ddos_stats::metrics::rmse;
     use ddos_trace::{CorpusConfig, TraceGenerator};
+
+    #[test]
+    fn median_orders_nan_instead_of_panicking() {
+        // `total_cmp` sorts positive NaN above every number.
+        assert_eq!(median(&[f64::NAN, 3.0, 1.0]), 3.0);
+        assert!(median(&[2.0, f64::NAN, f64::NAN]).is_nan());
+        assert_eq!(median(&[4.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[]), 0.0);
+    }
 
     fn fitted() -> (ddos_trace::Corpus, SpatioTemporalModel) {
         let corpus = TraceGenerator::new(CorpusConfig::small(), 121).generate().unwrap();

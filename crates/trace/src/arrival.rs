@@ -40,38 +40,14 @@ pub struct ArrivalSchedule {
 }
 
 impl ArrivalSchedule {
-    /// Generates the schedule for one family.
-    ///
-    /// `slot` staggers the family's activity window (see
-    /// [`FamilyProfile::activity_window`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates sampler parameter errors (none occur for validated
-    /// profiles).
-    pub fn generate<R: Rng + ?Sized>(
-        profile: &FamilyProfile,
-        total_days: u32,
-        slot: usize,
-        rng: &mut R,
-    ) -> Result<Self> {
-        Self::generate_in_scenario(
-            profile,
-            total_days,
-            slot,
-            &RegimeSchedule::stationary(profile),
-            rng,
-        )
-    }
-
     /// Generates the schedule under a regime timeline: each day's latent
     /// rate is scaled by the regime's intensity before the Poisson draw,
     /// so bursts and lulls shift both the counts and (through the
     /// activity multiplier downstream) the magnitude distribution.
     ///
-    /// With a stationary schedule this is draw-for-draw identical to
-    /// [`ArrivalSchedule::generate`]: the intensity multiplier is exactly
-    /// 1.0 and regime lookups consume no randomness.
+    /// With [`RegimeSchedule::stationary`] this is the calibrated static
+    /// process: the intensity multiplier is exactly 1.0 and regime lookups
+    /// consume no randomness.
     ///
     /// # Errors
     ///
@@ -154,20 +130,9 @@ fn floor_adjusted_rate(m: f64) -> f64 {
 }
 
 /// Draws launch timestamps for the attacks of one day: hours follow the
-/// family's diurnal profile, seconds are uniform within the hour, and the
+/// family's diurnal profile, phase-shifted by the regime (a zero shift is
+/// the static placement), seconds are uniform within the hour, and the
 /// result is sorted.
-pub fn place_within_day<R: Rng + ?Sized>(
-    day: u32,
-    count: u32,
-    profile: &FamilyProfile,
-    rng: &mut R,
-) -> Result<Vec<Timestamp>> {
-    place_within_day_in_regime(day, count, profile, &profile.stationary_regime(), rng)
-}
-
-/// [`place_within_day`] under a regime view: the diurnal peak is phase-
-/// shifted by the regime before sampling hours. A zero shift reproduces
-/// the static placement draw-for-draw.
 pub fn place_within_day_in_regime<R: Rng + ?Sized>(
     day: u32,
     count: u32,
@@ -201,11 +166,27 @@ mod tests {
         c.profile(c.by_name(name).unwrap()).unwrap().clone()
     }
 
+    fn stationary_schedule(
+        p: &FamilyProfile,
+        total_days: u32,
+        slot: usize,
+        rng: &mut StdRng,
+    ) -> ArrivalSchedule {
+        ArrivalSchedule::generate_in_scenario(
+            p,
+            total_days,
+            slot,
+            &RegimeSchedule::stationary(p),
+            rng,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn schedule_respects_window() {
         let p = profile("YZF"); // 72 active days
         let mut rng = StdRng::seed_from_u64(1);
-        let s = ArrivalSchedule::generate(&p, 220, 9, &mut rng).unwrap();
+        let s = stationary_schedule(&p, 220, 9, &mut rng);
         let (first, len, _) = p.activity_window(220, 9);
         for d in s.days() {
             assert!(d.day >= first && d.day < first + len);
@@ -219,7 +200,7 @@ mod tests {
         let mut totals = Vec::new();
         for seed in 0..8 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let s = ArrivalSchedule::generate(&p, 220, 8, &mut rng).unwrap();
+            let s = stationary_schedule(&p, 220, 8, &mut rng);
             totals.push(s.active_days() as f64);
         }
         let avg = mean(&totals).unwrap();
@@ -230,7 +211,7 @@ mod tests {
     fn mean_daily_count_near_table1() {
         let p = profile("DirtJumper");
         let mut rng = StdRng::seed_from_u64(3);
-        let s = ArrivalSchedule::generate(&p, 220, 5, &mut rng).unwrap();
+        let s = stationary_schedule(&p, 220, 5, &mut rng);
         let m = mean(&s.daily_counts()).unwrap();
         assert!((m - 144.3).abs() < 25.0, "mean daily {m}");
     }
@@ -241,7 +222,7 @@ mod tests {
         let mut cvs = Vec::new();
         for seed in 0..6 {
             let mut rng = StdRng::seed_from_u64(100 + seed);
-            let s = ArrivalSchedule::generate(&p, 220, 8, &mut rng).unwrap();
+            let s = stationary_schedule(&p, 220, 8, &mut rng);
             cvs.push(coefficient_of_variation(&s.daily_counts()).unwrap());
         }
         let avg_cv = mean(&cvs).unwrap();
@@ -254,8 +235,8 @@ mod tests {
         let stable = profile("DirtJumper");
         let bursty = profile("Colddeath");
         let mut rng = StdRng::seed_from_u64(7);
-        let s1 = ArrivalSchedule::generate(&stable, 220, 5, &mut rng).unwrap();
-        let s2 = ArrivalSchedule::generate(&bursty, 220, 2, &mut rng).unwrap();
+        let s1 = stationary_schedule(&stable, 220, 5, &mut rng);
+        let s2 = stationary_schedule(&bursty, 220, 2, &mut rng);
         let cv1 = coefficient_of_variation(&s1.daily_counts()).unwrap();
         let cv2 = coefficient_of_variation(&s2.daily_counts()).unwrap();
         assert!(cv1 < cv2, "DirtJumper CV {cv1} should be below Colddeath CV {cv2}");
@@ -265,7 +246,7 @@ mod tests {
     fn daily_rates_are_autocorrelated() {
         let p = profile("DirtJumper");
         let mut rng = StdRng::seed_from_u64(8);
-        let s = ArrivalSchedule::generate(&p, 220, 5, &mut rng).unwrap();
+        let s = stationary_schedule(&p, 220, 5, &mut rng);
         let rates: Vec<f64> = s.days().iter().map(|d| d.rate).collect();
         let acf = ddos_stats::acf::acf(&rates, 1).unwrap();
         assert!(acf[1] > 0.3, "lag-1 rate ACF {} should be positive", acf[1]);
@@ -275,7 +256,7 @@ mod tests {
     fn total_attacks_in_expected_range() {
         let p = profile("BlackEnergy"); // 5.93 × 220 ≈ 1305
         let mut rng = StdRng::seed_from_u64(9);
-        let s = ArrivalSchedule::generate(&p, 220, 1, &mut rng).unwrap();
+        let s = stationary_schedule(&p, 220, 1, &mut rng);
         let total = s.total_attacks() as f64;
         assert!(total > 700.0 && total < 2_200.0, "total {total}");
     }
@@ -297,7 +278,7 @@ mod tests {
         let mut means = Vec::new();
         for seed in 0..10 {
             let mut rng = StdRng::seed_from_u64(200 + seed);
-            let s = ArrivalSchedule::generate(&p, 220, 0, &mut rng).unwrap();
+            let s = stationary_schedule(&p, 220, 0, &mut rng);
             means.push(mean(&s.daily_counts()).unwrap());
         }
         let avg = mean(&means).unwrap();
@@ -308,7 +289,7 @@ mod tests {
     fn place_within_day_sorted_and_in_day() {
         let p = profile("Optima");
         let mut rng = StdRng::seed_from_u64(10);
-        let ts = place_within_day(12, 40, &p, &mut rng).unwrap();
+        let ts = place_within_day_in_regime(12, 40, &p, &p.stationary_regime(), &mut rng).unwrap();
         assert_eq!(ts.len(), 40);
         for w in ts.windows(2) {
             assert!(w[0] <= w[1]);
@@ -319,10 +300,11 @@ mod tests {
     #[test]
     fn placement_follows_diurnal_peak() {
         let p = profile("YZF"); // peak at 22, strong amplitude
+        let stationary = p.stationary_regime();
         let mut rng = StdRng::seed_from_u64(11);
         let mut hour_counts = [0usize; 24];
         for _ in 0..60 {
-            for t in place_within_day(0, 50, &p, &mut rng).unwrap() {
+            for t in place_within_day_in_regime(0, 50, &p, &stationary, &mut rng).unwrap() {
                 hour_counts[t.hour() as usize] += 1;
             }
         }

@@ -135,8 +135,11 @@ impl BotPool {
     }
 
     /// Samples `count` distinct participants for an attack launched on
-    /// `day`. When `count` exceeds the day's active window, the whole
-    /// window participates.
+    /// `day`. The active window is widened (or narrowed) by the regime's
+    /// [`crate::scenario::RegimeParams::pool_engagement`] before sampling —
+    /// bursts mobilize more of the pool, lulls less; engagement 1.0 is the
+    /// calibrated window. When `count` exceeds the window, the whole window
+    /// participates.
     ///
     /// The sample reproduces a partial Fisher–Yates shuffle of the window
     /// draw-for-draw, but through a sparse swap overlay instead of
@@ -144,20 +147,6 @@ impl BotPool {
     /// this once per attack, so at internet scale the dense copy dominated
     /// the whole pipeline. Outputs are bit-identical to the dense shuffle
     /// (pinned by `overlay_sampling_matches_dense_shuffle`).
-    pub fn participants<R: Rng + ?Sized>(
-        &self,
-        day: u32,
-        count: usize,
-        rng: &mut R,
-    ) -> Vec<BotObservation> {
-        self.participants_engaged(1.0, day, count, rng)
-    }
-
-    /// [`BotPool::participants`] under a regime view: the active window is
-    /// widened (or narrowed) by the regime's
-    /// [`crate::scenario::RegimeParams::pool_engagement`] before sampling —
-    /// bursts mobilize more of the pool, lulls less. Engagement 1.0 is
-    /// draw-for-draw identical to the calibrated sampler.
     pub fn participants_in_regime<R: Rng + ?Sized>(
         &self,
         params: &crate::scenario::RegimeParams,
@@ -165,17 +154,9 @@ impl BotPool {
         count: usize,
         rng: &mut R,
     ) -> Vec<BotObservation> {
-        self.participants_engaged(params.pool_engagement, day, count, rng)
-    }
-
-    fn participants_engaged<R: Rng + ?Sized>(
-        &self,
-        engagement: f64,
-        day: u32,
-        count: usize,
-        rng: &mut R,
-    ) -> Vec<BotObservation> {
-        let Some((window, start)) = self.window_bounds(day, engagement) else { return Vec::new() };
+        let Some((window, start)) = self.window_bounds(day, params.pool_engagement) else {
+            return Vec::new();
+        };
         let n = self.bots.len();
         let at = |i: usize| self.bots[(start + i) % n];
         if count >= window {
@@ -212,6 +193,10 @@ mod tests {
         let g = TopologyGenerator::new(TopologyConfig::small(), 61).generate().unwrap();
         let (_, allocs) = PrefixAllocator::new().allocate_for(&g).unwrap();
         (g, allocs)
+    }
+
+    fn stationary() -> crate::scenario::RegimeParams {
+        FamilyCatalog::small().profile(crate::family::FamilyId(0)).unwrap().stationary_regime()
     }
 
     fn pool(seed: u64) -> BotPool {
@@ -289,7 +274,7 @@ mod tests {
     fn participants_are_distinct_and_from_window() {
         let p = pool(5);
         let mut rng = StdRng::seed_from_u64(6);
-        let picks = p.participants(10, 50, &mut rng);
+        let picks = p.participants_in_regime(&stationary(), 10, 50, &mut rng);
         assert_eq!(picks.len(), 50);
         let ips: BTreeSet<u32> = picks.iter().map(|b| b.ip).collect();
         assert_eq!(ips.len(), 50, "participants repeat");
@@ -301,7 +286,7 @@ mod tests {
     fn oversized_request_returns_whole_window() {
         let p = pool(7);
         let mut rng = StdRng::seed_from_u64(8);
-        let picks = p.participants(0, p.len() * 2, &mut rng);
+        let picks = p.participants_in_regime(&stationary(), 0, p.len() * 2, &mut rng);
         assert_eq!(picks.len(), p.active_window(0).len());
     }
 
@@ -315,7 +300,7 @@ mod tests {
             [(0u32, 1usize, 21u64), (3, 17, 22), (10, 200, 23), (40, 1, 24), (7, 0, 25)]
         {
             let mut rng = StdRng::seed_from_u64(seed);
-            let fast = p.participants(day, count, &mut rng);
+            let fast = p.participants_in_regime(&stationary(), day, count, &mut rng);
             let after_fast: u64 = rng.gen();
 
             let mut rng = StdRng::seed_from_u64(seed);

@@ -160,10 +160,15 @@ impl Corpus {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::BadSplit`] unless `0 < fraction < 1`.
+    /// Returns [`TraceError::BadSplit`] unless `0 < fraction < 1`, and
+    /// [`TraceError::TooFewToSplit`] when the corpus holds fewer than two
+    /// attacks (both halves must be nonempty).
     pub fn split(&self, fraction: f64) -> Result<(&[AttackRecord], &[AttackRecord])> {
         if !(fraction > 0.0 && fraction < 1.0) {
             return Err(TraceError::BadSplit(fraction));
+        }
+        if self.attacks.len() < 2 {
+            return Err(TraceError::TooFewToSplit(self.attacks.len()));
         }
         let cut = ((self.attacks.len() as f64) * fraction).round() as usize;
         let cut = cut.clamp(1, self.attacks.len() - 1);
@@ -279,6 +284,30 @@ mod tests {
         assert!(matches!(c.split(0.0), Err(TraceError::BadSplit(_))));
         assert!(matches!(c.split(1.0), Err(TraceError::BadSplit(_))));
         assert!(matches!(c.split(-0.3), Err(TraceError::BadSplit(_))));
+    }
+
+    #[test]
+    fn one_attack_corpus_split_is_a_typed_error() {
+        let c = corpus();
+        let single = Corpus::new(
+            c.attacks()[..1].to_vec(),
+            c.catalog().clone(),
+            c.topology().clone(),
+            c.ip_map().clone(),
+            c.targets().clone(),
+            c.days(),
+        )
+        .unwrap();
+        assert!(matches!(single.split(0.8), Err(TraceError::TooFewToSplit(1))));
+    }
+
+    #[test]
+    fn extreme_fractions_keep_both_halves_nonempty() {
+        let c = corpus();
+        for fraction in [1e-12, 0.5, 1.0 - 1e-12] {
+            let (train, test) = c.split(fraction).unwrap();
+            assert!(!train.is_empty() && !test.is_empty(), "fraction {fraction}");
+        }
     }
 
     #[test]

@@ -18,6 +18,9 @@ pub enum TraceError {
     EmptyCorpus,
     /// A split fraction was outside (0, 1).
     BadSplit(f64),
+    /// A chronological split needs at least two attacks; the corpus holds
+    /// this many.
+    TooFewToSplit(usize),
     /// An underlying topology operation failed.
     Topology(ddos_astopo::TopoError),
     /// An underlying statistical operation failed.
@@ -53,6 +56,9 @@ impl fmt::Display for TraceError {
             TraceError::EmptyCorpus => write!(f, "corpus contains no attacks"),
             TraceError::BadSplit(frac) => {
                 write!(f, "split fraction {frac} must lie strictly between 0 and 1")
+            }
+            TraceError::TooFewToSplit(n) => {
+                write!(f, "a train/test split needs at least 2 attacks, corpus has {n}")
             }
             TraceError::Topology(e) => write!(f, "topology error: {e}"),
             TraceError::Stats(e) => write!(f, "stats error: {e}"),
@@ -109,6 +115,7 @@ mod tests {
     fn display_variants() {
         assert!(TraceError::EmptyCorpus.to_string().contains("no attacks"));
         assert!(TraceError::BadSplit(1.5).to_string().contains("1.5"));
+        assert!(TraceError::TooFewToSplit(1).to_string().contains("has 1"));
     }
 
     #[test]

@@ -1,21 +1,22 @@
 //! The end-to-end trace engine: topology → pools → schedules → attacks.
 
 use crate::arrival::{place_within_day_in_regime, ArrivalSchedule};
-use crate::attack::{AttackId, AttackRecord};
+use crate::attack::{AttackId, AttackRecord, AttackVector};
 use crate::bots::BotPool;
 use crate::dataset::Corpus;
-use crate::family::{FamilyCatalog, FamilyId};
+use crate::family::{FamilyCatalog, FamilyId, FamilyProfile};
 use crate::scenario::{RegimeParams, RegimeSchedule, ScenarioPolicy};
 use crate::targets::{TargetId, TargetPopulation};
 use crate::time::{Timestamp, DAY, HOUR};
 use crate::{Result, TraceError};
 use ddos_astopo::gen::{TopologyConfig, TopologyGenerator};
 use ddos_astopo::ipmap::PrefixAllocator;
-use ddos_stats::distributions::log_normal;
+use ddos_stats::distributions::{log_normal, Categorical};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Configuration of a corpus generation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -134,14 +135,11 @@ pub struct TraceGenerator {
     seed: u64,
 }
 
-/// Per-(family, target) duration memory: log-deviation AR(1) state.
-pub(crate) type DurationState = HashMap<(FamilyId, TargetId), f64>;
-
 /// Derives a per-family stream seed from the corpus seed via a splitmix64
 /// finalizer, so partitioned generation gives every family its own
-/// statistically independent RNG stream. Used by the family-partitioned
-/// paths ([`TraceGenerator::generate_partitioned`] and
-/// [`crate::stream::CorpusStream`]); the legacy single-stream
+/// statistically independent RNG stream. Seeds the family RNGs of
+/// [`TraceGenerator::generate_partitioned`] and
+/// [`crate::stream::CorpusStream`]; the single-stream
 /// [`TraceGenerator::generate`] never calls this.
 pub(crate) fn family_seed(seed: u64, slot: usize) -> u64 {
     let mut z = seed ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -156,13 +154,13 @@ pub(crate) struct Substrate {
     pub(crate) ipmap: ddos_astopo::ipmap::IpAsnMap,
     pub(crate) allocations:
         std::collections::BTreeMap<ddos_astopo::Asn, Vec<ddos_astopo::ipmap::Prefix>>,
-    pub(crate) targets: TargetPopulation,
+    pub(crate) targets: Arc<TargetPopulation>,
 }
 
-/// Builds the substrate exactly as [`TraceGenerator::generate`] does: the
-/// topology from `seed ^ 0xA5`, the RNG-free address plan, and the target
-/// spread as the first consumer of the caller's main RNG. Both generation
-/// paths share this, which is what makes their substrates bit-identical.
+/// Builds the substrate: the topology from `seed ^ 0xA5`, the RNG-free
+/// address plan, and the target spread as the first consumer of the
+/// caller's main RNG. Every entry point shares this, which is what makes
+/// their substrates bit-identical.
 pub(crate) fn build_substrate<R: Rng + ?Sized>(
     config: &CorpusConfig,
     seed: u64,
@@ -171,25 +169,7 @@ pub(crate) fn build_substrate<R: Rng + ?Sized>(
     let topology = TopologyGenerator::new(config.topology.clone(), seed ^ 0xA5).generate()?;
     let (ipmap, allocations) = PrefixAllocator::new().allocate_for(&topology)?;
     let targets = TargetPopulation::spread(&topology, &allocations, config.n_targets, rng)?;
-    Ok(Substrate { topology, ipmap, allocations, targets })
-}
-
-/// Moves a launch to the target's preferred hour (a deterministic offset
-/// within ±6 h of the family's regime-shifted diurnal peak) plus Gaussian
-/// jitter, keeping the day.
-pub(crate) fn preferred_launch<R: Rng + ?Sized>(
-    placed: Timestamp,
-    target: TargetId,
-    profile: &crate::family::FamilyProfile,
-    params: &RegimeParams,
-    rng: &mut R,
-) -> Timestamp {
-    let offset = (target.0 as i64 * 7) % 13 - 6; // -6..=6
-    let pref = (profile.shifted_peak(params) as i64 + offset).rem_euclid(24) as f64;
-    let jitter = profile.hour_jitter * ddos_stats::distributions::standard_normal(rng);
-    let hour = (pref + jitter).rem_euclid(24.0);
-    let secs = (hour * crate::time::HOUR as f64) as u64 % DAY;
-    Timestamp(placed.day() as u64 * DAY + secs)
+    Ok(Substrate { topology, ipmap, allocations, targets: Arc::new(targets) })
 }
 
 impl TraceGenerator {
@@ -203,7 +183,9 @@ impl TraceGenerator {
         &self.config
     }
 
-    /// Generates the corpus.
+    /// Generates the corpus from one RNG stream shared by the substrate and
+    /// every family in catalog order: family *k*'s pool and schedule draws
+    /// follow family *k − 1*'s attack draws.
     ///
     /// # Errors
     ///
@@ -211,100 +193,13 @@ impl TraceGenerator {
     pub fn generate(&self) -> Result<Corpus> {
         self.config.validate()?;
         let mut rng = StdRng::seed_from_u64(self.seed);
-
-        // Substrate: Internet, address plan, targets.
-        let Substrate { topology, ipmap, allocations, targets } =
-            build_substrate(&self.config, self.seed, &mut rng)?;
-
-        let mut attacks: Vec<AttackRecord> = Vec::new();
-        let mut duration_state: DurationState = HashMap::new();
-
-        for (family_id, profile) in self.config.catalog.iter() {
-            let slot = family_id.0;
-            let regimes = RegimeSchedule::generate(
-                self.config.scenario,
-                profile,
-                self.config.days,
-                self.seed,
-                slot,
-            );
-            let pool = BotPool::recruit(&topology, &allocations, profile, slot, &mut rng)?;
-            let schedule = ArrivalSchedule::generate_in_scenario(
-                profile,
-                self.config.days,
-                slot,
-                &regimes,
-                &mut rng,
-            )?;
-
-            let mut regime_idx = 0usize;
-            let (mut target_picker, mut vector_picker) =
-                family_pickers(profile, slot, &targets, &regimes.regimes()[0].params)?;
-
-            let mut prev: Option<(TargetId, Timestamp)> = None;
-            for plan in schedule.days() {
-                // Plans are chronological, so the regime cursor only moves
-                // forward; pickers rebuild exactly once per boundary.
-                let idx = regimes.index_at(plan.day);
-                if idx != regime_idx {
-                    regime_idx = idx;
-                    let params = &regimes.regimes()[idx].params;
-                    (target_picker, vector_picker) =
-                        family_pickers(profile, slot, &targets, params)?;
-                }
-                let params = regimes.regimes()[regime_idx].params;
-                let launches =
-                    place_within_day_in_regime(plan.day, plan.count, profile, &params, &mut rng)?;
-                // Activity multiplier couples magnitudes to the day's latent
-                // rate, giving the temporal model real structure.
-                let activity = (plan.rate / profile.avg_attacks_per_day).powf(0.8);
-                for ts in launches {
-                    let (target_id, mut start, multistage) = pick_target(
-                        self.config.days,
-                        profile.multistage_prob,
-                        &prev,
-                        ts,
-                        &target_picker,
-                        &mut rng,
-                    )?;
-                    if !multistage && rng.gen_bool(profile.hour_affinity) {
-                        start = preferred_launch(start, target_id, profile, &params, &mut rng);
-                    }
-                    let target = targets.target(target_id)?;
-                    let vector = crate::attack::AttackVector::ALL[vector_picker.sample(&mut rng)];
-                    let record = build_attack(
-                        family_id,
-                        profile,
-                        &params,
-                        &pool,
-                        target_id,
-                        target.asn,
-                        start,
-                        activity,
-                        multistage,
-                        vector,
-                        &mut duration_state,
-                        &mut rng,
-                    )?;
-                    prev = Some((target_id, start));
-                    attacks.push(record);
-                }
-            }
+        let substrate = build_substrate(&self.config, self.seed, &mut rng)?;
+        let mut attacks = Vec::new();
+        for (family, profile) in self.config.catalog.iter() {
+            FamilyGen::new(family, profile, &self.config, self.seed, &substrate, &mut rng)?
+                .advance(self.config.days, &mut attacks)?;
         }
-
-        // Chronological ordering and dense DDoS IDs.
-        attacks.sort_by_key(|a| (a.start, a.family, a.target));
-        for (i, a) in attacks.iter_mut().enumerate() {
-            a.id = AttackId(i as u64);
-        }
-        Corpus::new(
-            attacks,
-            self.config.catalog.clone(),
-            topology,
-            ipmap,
-            targets,
-            self.config.days,
-        )
+        self.corpus(substrate, attacks)
     }
 
     /// Generates the corpus with per-family RNG streams — the in-RAM
@@ -312,10 +207,9 @@ impl TraceGenerator {
     ///
     /// Each family draws from its own [`family_seed`]-derived stream, so
     /// families are independent and the result is invariant to execution
-    /// order; records are globally sorted and densely re-identified exactly
-    /// as [`TraceGenerator::generate`] does. The statistical model is
-    /// identical to `generate`, but the draw *sequence* differs, so the two
-    /// paths produce different (equally valid) corpora for the same seed.
+    /// order. The generation loop is the one [`TraceGenerator::generate`]
+    /// runs; only the RNG source differs, so the two paths produce
+    /// different (equally valid) corpora for the same seed.
     ///
     /// # Errors
     ///
@@ -323,29 +217,26 @@ impl TraceGenerator {
     pub fn generate_partitioned(&self) -> Result<Corpus> {
         self.config.validate()?;
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let Substrate { topology, ipmap, allocations, targets } =
-            build_substrate(&self.config, self.seed, &mut rng)?;
-        let targets = std::sync::Arc::new(targets);
-
-        let mut attacks: Vec<AttackRecord> = Vec::new();
-        for (family_id, profile) in self.config.catalog.iter() {
-            let mut fam = crate::stream::FamilyGen::new(
-                family_id,
-                profile.clone(),
-                &self.config,
-                self.seed,
-                &topology,
-                &allocations,
-                std::sync::Arc::clone(&targets),
-            )?;
-            fam.advance(self.config.days, &mut attacks)?;
+        let substrate = build_substrate(&self.config, self.seed, &mut rng)?;
+        let mut attacks = Vec::new();
+        for (family, profile) in self.config.catalog.iter() {
+            let rng = StdRng::seed_from_u64(family_seed(self.seed, family.0));
+            FamilyGen::new(family, profile, &self.config, self.seed, &substrate, rng)?
+                .advance(self.config.days, &mut attacks)?;
         }
+        self.corpus(substrate, attacks)
+    }
 
+    /// Orders the catalog-order concatenation of every family's attacks
+    /// chronologically (stable on `(start, family, target)`), assigns dense
+    /// ids and wraps the result with its substrate.
+    fn corpus(&self, substrate: Substrate, mut attacks: Vec<AttackRecord>) -> Result<Corpus> {
         attacks.sort_by_key(|a| (a.start, a.family, a.target));
         for (i, a) in attacks.iter_mut().enumerate() {
             a.id = AttackId(i as u64);
         }
-        let targets = std::sync::Arc::try_unwrap(targets).unwrap_or_else(|arc| (*arc).clone());
+        let Substrate { topology, ipmap, targets, .. } = substrate;
+        let targets = Arc::try_unwrap(targets).unwrap_or_else(|arc| (*arc).clone());
         Corpus::new(
             attacks,
             self.config.catalog.clone(),
@@ -357,27 +248,205 @@ impl TraceGenerator {
     }
 }
 
+/// Resumable single-family generation state: the paper's per-family,
+/// per-day sequence of arrival schedule, diurnal placement, multistage
+/// target pick, magnitude and duration.
+///
+/// This is the only generation loop. The caller picks the RNG source: a
+/// shared `&mut StdRng` gives [`TraceGenerator::generate`]'s single-stream
+/// draw order, a family-private [`family_seed`]-seeded `StdRng` lets the
+/// family advance in day windows and in any interleaving with others
+/// without changing its output. Records leave with their per-family
+/// sequence number stashed in `id`; the consumer re-assigns dense global
+/// ids after the merge sort.
+pub(crate) struct FamilyGen<R: Rng = StdRng> {
+    family: FamilyId,
+    profile: FamilyProfile,
+    days: u32,
+    pool: BotPool,
+    schedule: ArrivalSchedule,
+    next_plan: usize,
+    /// Precomputed regime timeline: a pure function of `(policy, profile,
+    /// seed, slot)`, looked up by plan day, so regime state advances
+    /// identically no matter how `advance` calls chunk the window.
+    regimes: RegimeSchedule,
+    regime_idx: usize,
+    target_picker: Categorical,
+    vector_picker: Categorical,
+    targets: Arc<TargetPopulation>,
+    rng: R,
+    prev: Option<(TargetId, Timestamp)>,
+    /// Per-target duration memory: log-deviation AR(1) state.
+    duration_state: HashMap<TargetId, f64>,
+    seq: u64,
+}
+
+impl<R: Rng> FamilyGen<R> {
+    /// Builds the family's pool, schedule and pickers, drawing from `rng`.
+    pub(crate) fn new(
+        family: FamilyId,
+        profile: &FamilyProfile,
+        config: &CorpusConfig,
+        seed: u64,
+        substrate: &Substrate,
+        mut rng: R,
+    ) -> Result<Self> {
+        let slot = family.0;
+        // The regime timeline draws from its own splitmix64 stream, never
+        // from the family RNG, so the policy cannot shift generation draws
+        // it does not parameterize.
+        let regimes = RegimeSchedule::generate(config.scenario, profile, config.days, seed, slot);
+        let pool =
+            BotPool::recruit(&substrate.topology, &substrate.allocations, profile, slot, &mut rng)?;
+        let schedule =
+            ArrivalSchedule::generate_in_scenario(profile, config.days, slot, &regimes, &mut rng)?;
+        let (target_picker, vector_picker) =
+            family_pickers(profile, slot, &substrate.targets, &regimes.regimes()[0].params)?;
+        Ok(FamilyGen {
+            family,
+            profile: profile.clone(),
+            days: config.days,
+            pool,
+            schedule,
+            next_plan: 0,
+            regimes,
+            regime_idx: 0,
+            target_picker,
+            vector_picker,
+            targets: Arc::clone(&substrate.targets),
+            rng,
+            prev: None,
+            duration_state: HashMap::new(),
+            seq: 0,
+        })
+    }
+
+    /// Generates every attack from plans with `day < until_day`, appending
+    /// to `out`. Each record's `id` carries the per-family sequence number
+    /// (the stable-sort tiebreak); the caller assigns real ids later.
+    pub(crate) fn advance(&mut self, until_day: u32, out: &mut Vec<AttackRecord>) -> Result<()> {
+        while let Some(&plan) = self.schedule.days().get(self.next_plan) {
+            if plan.day >= until_day {
+                break;
+            }
+            self.next_plan += 1;
+            // Plans are chronological and the timeline is precomputed, so
+            // the regime cursor only moves forward, pickers rebuild exactly
+            // once per boundary, and none of it depends on how callers
+            // chunk `until_day`.
+            let idx = self.regimes.index_at(plan.day);
+            if idx != self.regime_idx {
+                self.regime_idx = idx;
+                (self.target_picker, self.vector_picker) = family_pickers(
+                    &self.profile,
+                    self.family.0,
+                    &self.targets,
+                    &self.regimes.regimes()[idx].params,
+                )?;
+            }
+            let params = self.regimes.regimes()[self.regime_idx].params;
+            let launches = place_within_day_in_regime(
+                plan.day,
+                plan.count,
+                &self.profile,
+                &params,
+                &mut self.rng,
+            )?;
+            // Activity multiplier couples magnitudes to the day's latent
+            // rate, giving the temporal model real structure.
+            let activity = (plan.rate / self.profile.avg_attacks_per_day).powf(0.8);
+            for ts in launches {
+                let (target_id, mut start, multistage) = pick_target(
+                    self.days,
+                    self.profile.multistage_prob,
+                    &self.prev,
+                    ts,
+                    &self.target_picker,
+                    &mut self.rng,
+                )?;
+                if !multistage && self.rng.gen_bool(self.profile.hour_affinity) {
+                    start =
+                        preferred_launch(start, target_id, &self.profile, &params, &mut self.rng);
+                }
+                let target = self.targets.target(target_id)?;
+                let vector = AttackVector::ALL[self.vector_picker.sample(&mut self.rng)];
+                let mut record = build_attack(
+                    self.family,
+                    &self.profile,
+                    &params,
+                    &self.pool,
+                    target_id,
+                    target.asn,
+                    start,
+                    activity,
+                    multistage,
+                    vector,
+                    &mut self.duration_state,
+                    &mut self.rng,
+                )?;
+                record.id = AttackId(self.seq);
+                self.seq += 1;
+                self.prev = Some((target_id, start));
+                out.push(record);
+            }
+        }
+        Ok(())
+    }
+
+    /// A lower bound (seconds) on the start of any attack this family can
+    /// still produce: the next unprocessed plan's day floor, tightened by
+    /// the earliest possible multistage follow-up (30 s after the last
+    /// launch). `u64::MAX` once the schedule is exhausted — a multistage
+    /// attack only ever rides on a scheduled launch.
+    pub(crate) fn start_lower_bound(&self) -> u64 {
+        let Some(plan) = self.schedule.days().get(self.next_plan) else {
+            return u64::MAX;
+        };
+        let plan_floor = plan.day as u64 * DAY;
+        match self.prev {
+            Some((_, prev_start)) => plan_floor.min(prev_start.as_secs() + 30),
+            None => plan_floor,
+        }
+    }
+}
+
+/// Moves a launch to the target's preferred hour (a deterministic offset
+/// within ±6 h of the family's regime-shifted diurnal peak) plus Gaussian
+/// jitter, keeping the day.
+fn preferred_launch<R: Rng + ?Sized>(
+    placed: Timestamp,
+    target: TargetId,
+    profile: &FamilyProfile,
+    params: &RegimeParams,
+    rng: &mut R,
+) -> Timestamp {
+    let offset = (target.0 as i64 * 7) % 13 - 6; // -6..=6
+    let pref = (profile.shifted_peak(params) as i64 + offset).rem_euclid(24) as f64;
+    let jitter = profile.hour_jitter * ddos_stats::distributions::standard_normal(rng);
+    let hour = (pref + jitter).rem_euclid(24.0);
+    let secs = (hour * HOUR as f64) as u64 % DAY;
+    Timestamp(placed.day() as u64 * DAY + secs)
+}
+
 /// Builds the family's target-preference and vector pickers for one
 /// regime: a Zipf over the slot- and regime-rotated target order, and the
 /// regime's vector blend. Rebuilt lazily at regime boundaries; under a
 /// stationary regime (zero rotation, profile vector weights) the pickers
 /// are identical to the pre-scenario static ones. Consumes no randomness.
-pub(crate) fn family_pickers(
-    profile: &crate::family::FamilyProfile,
+fn family_pickers(
+    profile: &FamilyProfile,
     slot: usize,
     targets: &TargetPopulation,
     params: &RegimeParams,
-) -> Result<(ddos_stats::distributions::Categorical, ddos_stats::distributions::Categorical)> {
+) -> Result<(Categorical, Categorical)> {
     let target_weights: Vec<f64> = (0..targets.len())
         .map(|i| {
             let rank = targets.preference_rank(i, slot, params);
             1.0 / ((rank + 1) as f64).powf(profile.target_zipf)
         })
         .collect();
-    let target_picker =
-        ddos_stats::distributions::Categorical::new(&target_weights).map_err(TraceError::Stats)?;
-    let vector_picker = ddos_stats::distributions::Categorical::new(&params.vector_weights)
-        .map_err(TraceError::Stats)?;
+    let target_picker = Categorical::new(&target_weights).map_err(TraceError::Stats)?;
+    let vector_picker = Categorical::new(&params.vector_weights).map_err(TraceError::Stats)?;
     Ok((target_picker, vector_picker))
 }
 
@@ -390,12 +459,12 @@ pub(crate) fn family_pickers(
 /// Propagates sampler parameter errors (none occur for the constant
 /// log-normal gap parameters, so the draw stream is unchanged from the
 /// previous infallible fallback).
-pub(crate) fn pick_target<R: Rng + ?Sized>(
+fn pick_target<R: Rng + ?Sized>(
     days: u32,
     multistage_prob: f64,
     prev: &Option<(TargetId, Timestamp)>,
     placed: Timestamp,
-    picker: &ddos_stats::distributions::Categorical,
+    picker: &Categorical,
     rng: &mut R,
 ) -> Result<(TargetId, Timestamp, bool)> {
     if let Some((prev_target, prev_start)) = prev {
@@ -414,9 +483,9 @@ pub(crate) fn pick_target<R: Rng + ?Sized>(
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn build_attack<R: Rng + ?Sized>(
+fn build_attack<R: Rng + ?Sized>(
     family: FamilyId,
-    profile: &crate::family::FamilyProfile,
+    profile: &FamilyProfile,
     params: &RegimeParams,
     pool: &BotPool,
     target: TargetId,
@@ -424,8 +493,8 @@ pub(crate) fn build_attack<R: Rng + ?Sized>(
     start: Timestamp,
     activity: f64,
     multistage: bool,
-    vector: crate::attack::AttackVector,
-    duration_state: &mut DurationState,
+    vector: AttackVector,
+    duration_state: &mut HashMap<TargetId, f64>,
     rng: &mut R,
 ) -> Result<AttackRecord> {
     // Magnitude: log-normal with mean `mean_magnitude`, scaled by the
@@ -441,12 +510,11 @@ pub(crate) fn build_attack<R: Rng + ?Sized>(
     // Duration: per-(family, target) AR(1) in log space around the
     // family median, mildly scaled by magnitude. The AR(1) shape comes
     // from the governing regime, not the static profile.
-    let key = (family, target);
-    let prev_dev = duration_state.get(&key).copied().unwrap_or(0.0);
+    let prev_dev = duration_state.get(&target).copied().unwrap_or(0.0);
     let rho = params.duration_persistence;
     let innov = params.duration_sigma * (1.0 - rho * rho).sqrt();
     let dev = rho * prev_dev + innov * ddos_stats::distributions::standard_normal(rng);
-    duration_state.insert(key, dev);
+    duration_state.insert(target, dev);
     let mag_factor = (magnitude as f64 / profile.mean_magnitude).powf(0.3);
     let duration = (profile.median_duration_secs * dev.exp() * mag_factor)
         .clamp(30.0, (3 * DAY) as f64) as u64;
@@ -456,7 +524,8 @@ pub(crate) fn build_attack<R: Rng + ?Sized>(
     let hourly_bot_counts: Vec<u32> =
         (1..=hours).map(|h| ((magnitude * h) as f64 / hours as f64).ceil() as u32).collect();
 
-    // id 0 here; the real id is assigned after the global sort.
+    // The id is overwritten by the family sequence number, then by the
+    // dense id after the global sort.
     Ok(AttackRecord::new(
         AttackId(0),
         family,

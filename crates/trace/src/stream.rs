@@ -17,186 +17,16 @@
 //! the 24-hour multistage band — not by the corpus length. That is what
 //! makes [`crate::CorpusConfig::internet`] (≈5 M attacks) tractable.
 
-use crate::arrival::{place_within_day_in_regime, ArrivalSchedule, DayPlan};
 use crate::attack::{AttackId, AttackRecord};
-use crate::bots::BotPool;
-use crate::family::{FamilyCatalog, FamilyId, FamilyProfile};
-use crate::generator::{
-    build_attack, build_substrate, family_pickers, family_seed, pick_target, preferred_launch,
-    CorpusConfig, DurationState, Substrate,
-};
-use crate::scenario::RegimeSchedule;
-use crate::targets::{TargetId, TargetPopulation};
-use crate::time::{Timestamp, DAY};
+use crate::family::FamilyCatalog;
+use crate::generator::{build_substrate, family_seed, CorpusConfig, FamilyGen, Substrate};
+use crate::targets::TargetPopulation;
 use crate::{Result, TraceError};
-use ddos_astopo::ipmap::{IpAsnMap, Prefix};
-use ddos_astopo::{AsGraph, Asn};
-use ddos_stats::distributions::Categorical;
+use ddos_astopo::ipmap::IpAsnMap;
+use ddos_astopo::AsGraph;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use rand::SeedableRng;
 use std::sync::{Arc, Mutex, PoisonError};
-
-/// Resumable single-family generation state.
-///
-/// Runs the same per-day loop as the legacy generator, but against a
-/// family-private RNG, so it can be advanced in day windows and in any
-/// interleaving with other families without changing its output. Records
-/// leave with their per-family sequence number stashed in `id`; the
-/// consumer re-assigns dense global ids after the merge sort.
-pub(crate) struct FamilyGen {
-    family: FamilyId,
-    profile: FamilyProfile,
-    days: u32,
-    pool: BotPool,
-    schedule: ArrivalSchedule,
-    next_plan: usize,
-    /// Precomputed regime timeline: a pure function of `(policy, profile,
-    /// seed, slot)`, looked up by plan day, so regime state advances
-    /// identically no matter how `advance` calls chunk the window.
-    regimes: RegimeSchedule,
-    regime_idx: usize,
-    target_picker: Categorical,
-    vector_picker: Categorical,
-    targets: Arc<TargetPopulation>,
-    rng: StdRng,
-    prev: Option<(TargetId, Timestamp)>,
-    duration_state: DurationState,
-    seq: u64,
-}
-
-impl FamilyGen {
-    /// Builds the family's pool, schedule and pickers from its derived
-    /// seed. Does not touch the caller's RNG.
-    pub(crate) fn new(
-        family: FamilyId,
-        profile: FamilyProfile,
-        config: &CorpusConfig,
-        seed: u64,
-        topology: &AsGraph,
-        allocations: &BTreeMap<Asn, Vec<Prefix>>,
-        targets: Arc<TargetPopulation>,
-    ) -> Result<Self> {
-        let slot = family.0;
-        // The regime timeline draws from its own splitmix64 stream, never
-        // from the family RNG, so the policy cannot shift generation draws
-        // it does not parameterize.
-        let regimes = RegimeSchedule::generate(config.scenario, &profile, config.days, seed, slot);
-        let mut rng = StdRng::seed_from_u64(family_seed(seed, slot));
-        let pool = BotPool::recruit(topology, allocations, &profile, slot, &mut rng)?;
-        let schedule =
-            ArrivalSchedule::generate_in_scenario(&profile, config.days, slot, &regimes, &mut rng)?;
-        let (target_picker, vector_picker) =
-            family_pickers(&profile, slot, &targets, &regimes.regimes()[0].params)?;
-        Ok(FamilyGen {
-            family,
-            profile,
-            days: config.days,
-            pool,
-            schedule,
-            next_plan: 0,
-            regimes,
-            regime_idx: 0,
-            target_picker,
-            vector_picker,
-            targets,
-            rng,
-            prev: None,
-            duration_state: DurationState::new(),
-            seq: 0,
-        })
-    }
-
-    /// Generates every attack from plans with `day < until_day`, appending
-    /// to `out`. Each record's `id` carries the per-family sequence number
-    /// (the stable-sort tiebreak); the caller assigns real ids later.
-    pub(crate) fn advance(&mut self, until_day: u32, out: &mut Vec<AttackRecord>) -> Result<()> {
-        while let Some(plan) = self.schedule.days().get(self.next_plan) {
-            let plan: DayPlan = *plan;
-            if plan.day >= until_day {
-                break;
-            }
-            self.next_plan += 1;
-            // Advance the regime cursor to the plan's day. Plans are
-            // chronological and the timeline is precomputed, so this is
-            // invariant to how callers chunk `until_day` — the safe-
-            // emission bound never interacts with regime state.
-            let idx = self.regimes.index_at(plan.day);
-            if idx != self.regime_idx {
-                self.regime_idx = idx;
-                let (t, v) = family_pickers(
-                    &self.profile,
-                    self.family.0,
-                    &self.targets,
-                    &self.regimes.regimes()[idx].params,
-                )?;
-                self.target_picker = t;
-                self.vector_picker = v;
-            }
-            let params = self.regimes.regimes()[self.regime_idx].params;
-            let launches = place_within_day_in_regime(
-                plan.day,
-                plan.count,
-                &self.profile,
-                &params,
-                &mut self.rng,
-            )?;
-            let activity = (plan.rate / self.profile.avg_attacks_per_day).powf(0.8);
-            for ts in launches {
-                let (target_id, mut start, multistage) = pick_target(
-                    self.days,
-                    self.profile.multistage_prob,
-                    &self.prev,
-                    ts,
-                    &self.target_picker,
-                    &mut self.rng,
-                )?;
-                if !multistage && self.rng.gen_bool(self.profile.hour_affinity) {
-                    start =
-                        preferred_launch(start, target_id, &self.profile, &params, &mut self.rng);
-                }
-                let target = self.targets.target(target_id)?;
-                let vector =
-                    crate::attack::AttackVector::ALL[self.vector_picker.sample(&mut self.rng)];
-                let mut record = build_attack(
-                    self.family,
-                    &self.profile,
-                    &params,
-                    &self.pool,
-                    target_id,
-                    target.asn,
-                    start,
-                    activity,
-                    multistage,
-                    vector,
-                    &mut self.duration_state,
-                    &mut self.rng,
-                )?;
-                record.id = AttackId(self.seq);
-                self.seq += 1;
-                self.prev = Some((target_id, start));
-                out.push(record);
-            }
-        }
-        Ok(())
-    }
-
-    /// A lower bound (seconds) on the start of any attack this family can
-    /// still produce: the next unprocessed plan's day floor, tightened by
-    /// the earliest possible multistage follow-up (30 s after the last
-    /// launch). `u64::MAX` once the schedule is exhausted — a multistage
-    /// attack only ever rides on a scheduled launch.
-    pub(crate) fn start_lower_bound(&self) -> u64 {
-        let Some(plan) = self.schedule.days().get(self.next_plan) else {
-            return u64::MAX;
-        };
-        let plan_floor = plan.day as u64 * DAY;
-        match self.prev {
-            Some((_, prev_start)) => plan_floor.min(prev_start.as_secs() + 30),
-            None => plan_floor,
-        }
-    }
-}
 
 /// Tuning knobs for [`CorpusStream`]. The defaults (64-day chunks, auto
 /// parallelism) are right for anything bigger than a toy corpus; smaller
@@ -278,25 +108,16 @@ impl CorpusStream {
         }
         config.validate()?;
         let mut rng = StdRng::seed_from_u64(seed);
-        let Substrate { topology, ipmap, allocations, targets } =
-            build_substrate(&config, seed, &mut rng)?;
-        let targets = Arc::new(targets);
+        let substrate = build_substrate(&config, seed, &mut rng)?;
         let families = config
             .catalog
             .iter()
-            .map(|(family_id, profile)| {
-                FamilyGen::new(
-                    family_id,
-                    profile.clone(),
-                    &config,
-                    seed,
-                    &topology,
-                    &allocations,
-                    Arc::clone(&targets),
-                )
-                .map(Mutex::new)
+            .map(|(family, profile)| {
+                let rng = StdRng::seed_from_u64(family_seed(seed, family.0));
+                FamilyGen::new(family, profile, &config, seed, &substrate, rng).map(Mutex::new)
             })
             .collect::<Result<Vec<_>>>()?;
+        let Substrate { topology, ipmap, targets, .. } = substrate;
         Ok(CorpusStream {
             families,
             catalog: config.catalog,
