@@ -20,6 +20,16 @@
 //! cargo run --release -p ddos-bench --bin goldencheck -- \
 //!     --check crates/bench/golden/fingerprints.txt
 //! ```
+//!
+//! The tanh path is fixed per build, so the golden file is checked by two
+//! builds: the default (fast-kernel) build computes the base lines, and a
+//! `--features libm-tanh` build computes the [`MIGRATED_LINES`] as
+//! `<name>_libm` plus every other base line under its own name:
+//!
+//! ```sh
+//! cargo run --release -p ddos-bench --features libm-tanh --bin goldencheck -- \
+//!     --check crates/bench/golden/fingerprints.txt
+//! ```
 
 use ddos_bench::{corpus, pipeline, Scale};
 use ddos_cart::ensemble::{
@@ -29,11 +39,11 @@ use ddos_cart::importance::feature_importances;
 use ddos_cart::leaf::LeafKind;
 use ddos_cart::prune::{prune, prune_holdout};
 use ddos_cart::tree::{RegressionTree, TreeConfig};
-use ddos_core::artifact::ModelArtifact;
+use ddos_core::artifact::{ModelArtifact, MAGIC};
 use ddos_core::attribution::FamilyAttributor;
 use ddos_core::features::FeatureExtractor;
 use ddos_core::spatiotemporal::{InstanceFeatures, SpatioTemporalConfig, SpatioTemporalModel};
-use ddos_neural::kernel::{set_tanh_path, TanhPath};
+use ddos_neural::kernel::LIBM_TANH;
 use ddos_neural::nar::{NarConfig, NarModel};
 use ddos_neural::train::TrainConfig;
 use ddos_serve::{BatchPolicy, ForecastRequest, ForecastService, ServeConfig};
@@ -72,18 +82,39 @@ impl<'a> Fnv<'a> {
         }
     }
     fn done(self, name: &str) {
-        self.report.lines.push((name.to_string(), self.hash));
+        self.report.lines.push((line_name(name), self.hash));
+    }
+}
+
+/// The golden-file name of line `name` in this build: a migrated line
+/// computed on the libm path is recorded as `<name>_libm`.
+fn line_name(name: &str) -> String {
+    if LIBM_TANH && MIGRATED_LINES.contains(&name) {
+        format!("{name}_libm")
+    } else {
+        name.to_string()
+    }
+}
+
+/// Whether golden entry `name` is computed by the *other* tanh build:
+/// the `_libm` pins in the default build, the migrated base lines in the
+/// libm build.
+fn other_build_line(name: &str) -> bool {
+    if LIBM_TANH {
+        MIGRATED_LINES.contains(&name)
+    } else {
+        name.strip_suffix("_libm").is_some_and(|base| MIGRATED_LINES.contains(&base))
     }
 }
 
 /// Fingerprint lines whose values moved when the batched fast-tanh kernel
 /// replaced scalar libm tanh in NAR training and rolling prediction (the
-/// recorded migration of that optimization). Each of these lines is
-/// computed twice — on the fast path under its own name, and on the
-/// retained libm path as `<name>_libm` — so the pre-kernel behavior stays
+/// recorded migration of that optimization). Each of these lines has two
+/// golden entries — the default build's under its own name, and the
+/// `libm-tanh` build's as `<name>_libm` — so the pre-kernel behavior stays
 /// pinned in the golden file forever. Lines *not* listed here must be
-/// byte-identical across both paths (tanh never reaches them), which the
-/// golden file enforces by recording a single hash.
+/// byte-identical in both builds (tanh never reaches them): the golden
+/// file records a single hash, and the libm build checks it too.
 const MIGRATED_LINES: &[&str] = &[
     "nar_fit_rolling_forecast",
     "pipeline_spatial_dist",
@@ -128,33 +159,8 @@ fn main() {
         Some(other) => panic!("unknown argument {other:?}; usage: goldencheck [--check <file>]"),
         None => None,
     };
-    // The harness pins the tanh path explicitly for each pass, so the
-    // output is identical whether or not the build enabled `libm-tanh`.
     let mut report = Report { lines: Vec::new() };
-    set_tanh_path(TanhPath::Fast);
     run(&mut report);
-    let mut libm_report = Report { lines: Vec::new() };
-    set_tanh_path(TanhPath::Libm);
-    run(&mut libm_report);
-
-    // Any line that differs between the two paths must be a recorded
-    // migration; an unlisted difference means tanh leaked into a surface
-    // the migration ledger doesn't cover.
-    for ((name, fast), (libm_name, libm)) in report.lines.iter().zip(&libm_report.lines) {
-        assert_eq!(name, libm_name, "fast and libm passes computed different line sets");
-        if fast != libm && !MIGRATED_LINES.contains(&name.as_str()) {
-            eprintln!(
-                "UNRECORDED MIGRATION {name}: fast {fast:016x} != libm {libm:016x} \
-                 but the line is not in MIGRATED_LINES"
-            );
-            std::process::exit(1);
-        }
-    }
-    for (name, hash) in libm_report.lines {
-        if MIGRATED_LINES.contains(&name.as_str()) {
-            report.lines.push((format!("{name}_libm"), hash));
-        }
-    }
     for (name, hash) in &report.lines {
         println!("{name:<32} {hash:016x}");
     }
@@ -191,7 +197,7 @@ fn main() {
                 }
             }
         }
-        for (name, _) in expected {
+        for (name, _) in expected.into_iter().filter(|(name, _)| !other_build_line(name)) {
             eprintln!("STALE golden entry {name} no longer computed");
             failures += 1;
         }
@@ -380,24 +386,38 @@ fn run(report: &mut Report) {
     // every byte of the envelope + payload. Artifacts are deterministic,
     // so a stable line proves serialization didn't drift (a reloaded
     // model serving different bits would trip the lines above instead).
-    // Three lines: the current (v3, lane-hash guard) envelope, the v2 (FNV-1a)
-    // envelope — which must keep the hash the pre-v3 golden file
-    // recorded for `spatiotemporal_artifact`, pinning that v3 changed
-    // only the checksum, never the payload bytes — and the legacy v1
-    // envelope, which pins the same for the v1→v2 swap before it.
+    // Three lines: the current (v3, lane-hash guard) envelope, then its
+    // payload re-framed in the v2 (FNV-1a) envelope — which must keep the
+    // hash the pre-v3 golden file recorded for `spatiotemporal_artifact`,
+    // pinning that v3 changed only the checksum, never the payload bytes
+    // — and in the legacy v1 envelope, which pins the same for the v1→v2
+    // swap before it.
     let artifact = st_model.to_artifact_bytes();
     let mut h = Fnv::new(report);
     h.word(artifact.len() as u64);
     h.bytes(&artifact);
     h.done("spatiotemporal_artifact");
 
-    let artifact_v2 = st_model.to_artifact_bytes_v2();
+    // v3 layout: magic (8) ‖ version (4) ‖ tag (1) ‖ len (8) ‖ guard (8).
+    // The v2 guard is FNV-1a over the payload: the fingerprint hash itself.
+    let (tag, payload) = (artifact[12], &artifact[29..]);
+    let mut guard = Fnv::new(report);
+    guard.bytes(payload);
+    let artifact_v2 = [
+        &MAGIC[..],
+        &2u32.to_le_bytes(),
+        &[tag],
+        &(payload.len() as u64).to_le_bytes(),
+        &guard.hash.to_le_bytes(),
+        payload,
+    ]
+    .concat();
     let mut h = Fnv::new(report);
     h.word(artifact_v2.len() as u64);
     h.bytes(&artifact_v2);
     h.done("spatiotemporal_artifact_v2");
 
-    let artifact_v1 = st_model.to_artifact_bytes_v1();
+    let artifact_v1 = [&MAGIC[..], &1u32.to_le_bytes(), &[tag], payload].concat();
     let mut h = Fnv::new(report);
     h.word(artifact_v1.len() as u64);
     h.bytes(&artifact_v1);
@@ -499,8 +519,8 @@ fn run(report: &mut Report) {
 
     // Forecaster zoo: bagged-forest and boosted-model-tree fits on a
     // synthetic integer-derived design. The ensembles never touch the
-    // neural kernel, so these lines must be identical across both tanh
-    // passes (the harness enforces it by recording a single hash). Folds
+    // neural kernel, so these lines must be identical in both tanh
+    // builds (the golden file records a single hash both builds check). Folds
     // the bootstrap stream of the first tree, per-tree shape, batched
     // predictions, and the full v3 artifact byte stream of each kind.
     let zoo_xs: Vec<Vec<f64>> = (0..160)

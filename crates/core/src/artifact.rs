@@ -33,7 +33,8 @@
 //! v2 artifacts remain readable: the decoder dispatches on the version
 //! field — verifying v2 guards with FNV-1a, v3 with the lane hash — and
 //! [`migrate_artifact_file`] / [`migrate_to_current`] rewrite stale files
-//! at the current version.
+//! at the current version. Nothing writes v1 or v2 any more: legacy bytes
+//! exist only as committed fixtures.
 //!
 //! All floating-point state inside payloads is written via
 //! [`f64::to_bits`], so encode→decode is the *identity* on the model —
@@ -65,8 +66,7 @@ pub const SCHEMA_V1: u32 = 1;
 /// the same function the goldencheck gate uses for fingerprints). Each
 /// step multiplies the running hash, so the loop is a serial dependency
 /// chain one byte long per byte — which is why v3 replaced it on the
-/// artifact hot path. Kept for decoding v2 artifacts and writing v2
-/// fixtures.
+/// artifact hot path. Kept for decoding v2 artifacts.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -359,40 +359,6 @@ pub trait ModelArtifact: Sized {
         w.into_bytes()
     }
 
-    /// Serializes the model at the **v2** envelope: identical layout to
-    /// v3 but with the FNV-1a payload guard. Kept so fixtures for the
-    /// v2→v3 migration path can be written and the fingerprint swap
-    /// verified; new artifacts are always written by
-    /// [`to_artifact_bytes`](Self::to_artifact_bytes) at the current
-    /// version.
-    fn to_artifact_bytes_v2(&self) -> Vec<u8> {
-        let mut pw = Writer::new();
-        self.encode_payload(&mut pw);
-        let payload = pw.into_bytes();
-        let mut w = Writer::new();
-        w.bytes(&MAGIC);
-        w.u32(SCHEMA_V2);
-        w.u8(self.artifact_kind().tag());
-        w.usize(payload.len());
-        w.u64(fnv1a(&payload));
-        w.bytes(&payload);
-        w.into_bytes()
-    }
-
-    /// Serializes the model at the **legacy v1** envelope (no payload
-    /// guard). Kept so fixtures for the v1→current migration path can be
-    /// written and the fingerprint swaps verified; new artifacts are
-    /// always written by [`to_artifact_bytes`](Self::to_artifact_bytes)
-    /// at the current version.
-    fn to_artifact_bytes_v1(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.bytes(&MAGIC);
-        w.u32(SCHEMA_V1);
-        w.u8(self.artifact_kind().tag());
-        self.encode_payload(&mut w);
-        w.into_bytes()
-    }
-
     /// Deserializes a model from artifact bytes, validating the envelope.
     /// Accepts every supported schema version: v3/v2 verify the payload
     /// guard (lane hash / FNV-1a respectively) before decoding, v1 decodes
@@ -575,6 +541,24 @@ mod tests {
         }
     }
 
+    /// Re-frames `model`'s current (v3) payload, which starts at byte 29,
+    /// in a legacy envelope: v1 is `magic ‖ version ‖ tag ‖ payload`, v2
+    /// adds the payload length and its FNV-1a guard.
+    fn legacy_bytes(model: &impl ModelArtifact, version: u32) -> Vec<u8> {
+        let v3 = model.to_artifact_bytes();
+        let (tag, payload) = (v3[12], &v3[29..]);
+        let mut w = Writer::new();
+        w.bytes(&MAGIC);
+        w.u32(version);
+        w.u8(tag);
+        if version == SCHEMA_V2 {
+            w.usize(payload.len());
+            w.u64(fnv1a(payload));
+        }
+        w.bytes(payload);
+        w.into_bytes()
+    }
+
     #[test]
     fn round_trip_is_identity() {
         let toy = Toy { weights: vec![1.5, -0.0, f64::MIN_POSITIVE, 3.25e300] };
@@ -678,7 +662,7 @@ mod tests {
     #[test]
     fn v1_artifacts_still_decode() {
         let toy = Toy { weights: vec![1.5, -0.0, 3.25e300] };
-        let v1 = toy.to_artifact_bytes_v1();
+        let v1 = legacy_bytes(&toy, SCHEMA_V1);
         assert_eq!(artifact_version(&v1).unwrap(), SCHEMA_V1);
         let back = Toy::from_artifact_bytes(&v1).unwrap();
         for (a, b) in toy.weights.iter().zip(&back.weights) {
@@ -689,7 +673,7 @@ mod tests {
     #[test]
     fn v2_artifacts_still_decode_with_fnv_guard() {
         let toy = Toy { weights: vec![1.5, -0.0, 3.25e300] };
-        let v2 = toy.to_artifact_bytes_v2();
+        let v2 = legacy_bytes(&toy, SCHEMA_V2);
         assert_eq!(artifact_version(&v2).unwrap(), SCHEMA_V2);
         let back = Toy::from_artifact_bytes(&v2).unwrap();
         assert_eq!(back, toy);
@@ -701,13 +685,6 @@ mod tests {
             Toy::from_artifact_bytes(&corrupt),
             Err(ArtifactError::ChecksumMismatch { .. })
         ));
-        // v2 and v3 bytes differ only in the version field and checksum.
-        let v3 = toy.to_artifact_bytes();
-        assert_eq!(v2.len(), v3.len());
-        assert_eq!(v2[..8], v3[..8]);
-        assert_eq!(v2[12..21], v3[12..21]);
-        assert_ne!(v2[21..29], v3[21..29]);
-        assert_eq!(v2[29..], v3[29..]);
     }
 
     #[test]
@@ -726,7 +703,7 @@ mod tests {
         // The v1 envelope has no guard, so the same flip reaches the
         // payload decoder (here: silently flips a weight bit — exactly
         // the exposure the guarded envelopes close).
-        let v1 = toy.to_artifact_bytes_v1();
+        let v1 = legacy_bytes(&toy, SCHEMA_V1);
         let mut v1_corrupt = v1.clone();
         let last = v1_corrupt.len() - 1;
         v1_corrupt[last] ^= 0x01;
@@ -736,10 +713,10 @@ mod tests {
     #[test]
     fn migrate_to_current_flags_stale_bytes() {
         let toy = Toy { weights: vec![0.5, 7.0] };
-        let (m1, stale) = migrate_to_current::<Toy>(&toy.to_artifact_bytes_v1()).unwrap();
+        let (m1, stale) = migrate_to_current::<Toy>(&legacy_bytes(&toy, SCHEMA_V1)).unwrap();
         assert!(stale);
         assert_eq!(m1, toy);
-        let (m15, stale) = migrate_to_current::<Toy>(&toy.to_artifact_bytes_v2()).unwrap();
+        let (m15, stale) = migrate_to_current::<Toy>(&legacy_bytes(&toy, SCHEMA_V2)).unwrap();
         assert!(stale, "v2 artifacts are stale under the v3 schema");
         assert_eq!(m15, toy);
         let (m2, stale) = migrate_to_current::<Toy>(&toy.to_artifact_bytes()).unwrap();
@@ -753,7 +730,7 @@ mod tests {
         let path = dir.join("toy_v1.mdl");
         let toy = Toy { weights: vec![0.125, -9.75] };
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(&path, toy.to_artifact_bytes_v1()).unwrap();
+        std::fs::write(&path, legacy_bytes(&toy, SCHEMA_V1)).unwrap();
 
         let (model, from, migrated) = migrate_artifact_file::<Toy>(&path).unwrap();
         assert_eq!((from, migrated), (SCHEMA_V1, true));

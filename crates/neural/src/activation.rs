@@ -26,24 +26,9 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the function.
-    ///
-    /// `TanSig` dispatches through [`crate::kernel::tanh_one`], so scalar
-    /// and batched ([`Activation::apply_slice`]) call sites see the same
-    /// bits for the same input, on either tanh path.
-    pub fn apply(self, x: f64) -> f64 {
-        match self {
-            Activation::TanSig => kernel::tanh_one(x),
-            Activation::LogSig => 1.0 / (1.0 + (-x).exp()),
-            Activation::Linear => x,
-            Activation::Elliott => x / (1.0 + x.abs()),
-        }
-    }
-
     /// Applies the function elementwise in place — the batched form hot
-    /// loops use. For `TanSig` this is the vectorized kernel
-    /// ([`crate::kernel::tanh_slice`]); for every variant the result is
-    /// bit-identical to mapping [`Activation::apply`] over the slice.
+    /// loops use. For `TanSig` this is [`crate::kernel::tanh_slice`],
+    /// whose path (fast kernel or libm) is fixed per build.
     pub fn apply_slice(self, xs: &mut [f64]) {
         match self {
             Activation::TanSig => kernel::tanh_slice(xs),
@@ -103,35 +88,42 @@ impl Activation {
 mod tests {
     use super::*;
 
+    /// The function at one point, through the batched entry point.
+    fn apply(act: Activation, x: f64) -> f64 {
+        let mut v = [x];
+        act.apply_slice(&mut v);
+        v[0]
+    }
+
     #[test]
     fn tansig_range_and_odd_symmetry() {
         let a = Activation::TanSig;
-        assert!(a.apply(10.0) < 1.0 && a.apply(10.0) > 0.99);
-        assert!((a.apply(0.5) + a.apply(-0.5)).abs() < 1e-12);
-        assert_eq!(a.apply(0.0), 0.0);
+        assert!(apply(a, 10.0) < 1.0 && apply(a, 10.0) > 0.99);
+        assert!((apply(a, 0.5) + apply(a, -0.5)).abs() < 1e-12);
+        assert_eq!(apply(a, 0.0), 0.0);
     }
 
     #[test]
     fn logsig_range_and_midpoint() {
         let a = Activation::LogSig;
-        assert_eq!(a.apply(0.0), 0.5);
-        assert!(a.apply(-20.0) < 1e-6);
-        assert!(a.apply(20.0) > 1.0 - 1e-6);
+        assert_eq!(apply(a, 0.0), 0.5);
+        assert!(apply(a, -20.0) < 1e-6);
+        assert!(apply(a, 20.0) > 1.0 - 1e-6);
     }
 
     #[test]
     fn linear_is_identity() {
-        assert_eq!(Activation::Linear.apply(3.25), 3.25);
+        assert_eq!(apply(Activation::Linear, 3.25), 3.25);
         assert_eq!(Activation::Linear.derivative_from_output(123.0), 1.0);
     }
 
     #[test]
     fn elliott_shape_and_bounds() {
         let a = Activation::Elliott;
-        assert_eq!(a.apply(0.0), 0.0);
-        assert!(a.apply(100.0) < 1.0 && a.apply(100.0) > 0.98);
-        assert!((a.apply(1.0) - 0.5).abs() < 1e-12);
-        assert!((a.apply(0.5) + a.apply(-0.5)).abs() < 1e-12); // odd symmetry
+        assert_eq!(apply(a, 0.0), 0.0);
+        assert!(apply(a, 100.0) < 1.0 && apply(a, 100.0) > 0.98);
+        assert!((apply(a, 1.0) - 0.5).abs() < 1e-12);
+        assert!((apply(a, 0.5) + apply(a, -0.5)).abs() < 1e-12); // odd symmetry
     }
 
     #[test]
@@ -139,8 +131,8 @@ mod tests {
         let h = 1e-6;
         for act in [Activation::TanSig, Activation::LogSig, Activation::Elliott] {
             for &x in &[-2.0, -0.5, 0.0, 0.7, 1.8] {
-                let y = act.apply(x);
-                let numeric = (act.apply(x + h) - act.apply(x - h)) / (2.0 * h);
+                let y = apply(act, x);
+                let numeric = (apply(act, x + h) - apply(act, x - h)) / (2.0 * h);
                 let analytic = act.derivative_from_output(y);
                 assert!(
                     (numeric - analytic).abs() < 1e-6,

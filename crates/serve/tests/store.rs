@@ -48,18 +48,20 @@ fn dir_store_decode_caches_and_types_missing_keys() {
 
 #[test]
 fn dir_store_serves_v1_artifacts_and_migrates_in_place() {
+    const V1_FIXTURE: &[u8] = include_bytes!("../../core/tests/fixtures/spatiotemporal_v1.mdl");
     let dir = scratch_dir("migrate");
-    let model = fitted();
-    std::fs::write(dir.join("legacy.mdl"), model.to_artifact_bytes_v1()).unwrap();
-    std::fs::write(dir.join("current.mdl"), model.to_artifact_bytes()).unwrap();
+    std::fs::write(dir.join("legacy.mdl"), V1_FIXTURE).unwrap();
+    std::fs::write(dir.join("current.mdl"), fitted().to_artifact_bytes()).unwrap();
 
     // A v1 file is served as-is (the decoder is version-tolerant)...
     let store = DirModelStore::open(&dir);
-    let served = store.load("legacy").unwrap();
+    let current = store.load("legacy").unwrap().to_artifact_bytes();
+    // The v1 envelope is 13 bytes, the v3 one 29; the payload between
+    // them must survive the decode byte for byte.
     assert_eq!(
-        served.to_artifact_bytes(),
-        model.to_artifact_bytes(),
-        "v1-decoded model must re-encode to the exact current-version bytes"
+        current[29..],
+        V1_FIXTURE[13..],
+        "v1-decoded model must re-encode to the committed payload bytes"
     );
 
     // ...and migrate_all rewrites exactly the stale file, reporting the
@@ -68,7 +70,7 @@ fn dir_store_serves_v1_artifacts_and_migrates_in_place() {
     assert_eq!(migrated, vec![("legacy".to_string(), 1)]);
     let rewritten = std::fs::read(dir.join("legacy.mdl")).unwrap();
     assert_eq!(artifact_version(&rewritten).unwrap(), SCHEMA_VERSION);
-    assert_eq!(rewritten, model.to_artifact_bytes());
+    assert_eq!(rewritten, current);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
