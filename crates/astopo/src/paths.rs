@@ -27,10 +27,13 @@ const UNREACHED: u32 = u32::MAX;
 /// ([`AsGraph::dense`]): cones are sparse entry lists sorted by
 /// [`NodeId`] (an AS's transitive provider set is a handful of nodes even
 /// at 100 k ASes, so per-cone memory is O(cone), not O(graph)), cached
-/// behind `Arc` so a cache hit clones a pointer, never a map. Batch
-/// queries ([`PathOracle::pairwise_distances`],
-/// [`PathOracle::mean_pairwise_distance`]) compute each endpoint's cone
-/// exactly once and intersect cones with sorted merges.
+/// behind `Arc` so a cache hit clones a pointer, never a map. Each cone
+/// also carries a *reach list*: every node its root can get to going up
+/// and then across at most one peering edge, with the shortest such hop
+/// count. A hop distance is then one sorted merge of `a`'s reach list
+/// with `b`'s cone. Batch queries ([`PathOracle::pairwise_distances`],
+/// [`PathOracle::mean_pairwise_distance`]) resolve each distinct
+/// endpoint's cone once per call and run that merge per distinct pair.
 ///
 /// # Example
 ///
@@ -68,6 +71,11 @@ pub struct PathOracle<'g> {
 #[derive(Debug)]
 struct UphillCone {
     entries: Vec<ConeEntry>,
+    /// `(node, hops)` for every node the root reaches by climbing and
+    /// then crossing at most one peering edge: each entry at its own
+    /// `dist`, each peer of an entry at `dist + 1`. Sorted by node, one
+    /// pair per node holding the smallest hop count.
+    reach: Vec<(u32, u32)>,
 }
 
 /// One reached node in an [`UphillCone`]: its BFS hop count from the
@@ -80,9 +88,56 @@ struct ConeEntry {
 }
 
 impl UphillCone {
+    /// Builds the cone from its BFS entries (any order) and derives the
+    /// reach list from them.
+    fn new(dense: &DenseTopology, mut entries: Vec<ConeEntry>) -> Self {
+        entries.sort_unstable_by_key(|e| e.node);
+        let peer_edges: usize = entries.iter().map(|e| dense.peers(NodeId(e.node)).len()).sum();
+        let mut reach = Vec::with_capacity(entries.len() + peer_edges);
+        for e in &entries {
+            reach.push((e.node, e.dist));
+            reach.extend(dense.peers(NodeId(e.node)).iter().map(|w| (w.0, e.dist + 1)));
+        }
+        // Sorting by (node, hops) puts each node's minimum first; dedup
+        // keeps the first of each run.
+        reach.sort_unstable();
+        reach.dedup_by_key(|r| r.0);
+        UphillCone { entries, reach }
+    }
+
     /// The entry for `node`, or `None` when the cone does not reach it.
     fn get(&self, node: NodeId) -> Option<ConeEntry> {
         self.entries.binary_search_by_key(&node.0, |e| e.node).ok().map(|i| self.entries[i])
+    }
+
+    /// Shortest valley-free distance from this cone's root to `other`'s
+    /// root, without path reconstruction: the minimum of `reach + dist`
+    /// over nodes in both `self.reach` and `other.entries`. A reach node
+    /// at its own cone distance is a common ancestor (up, then down); one
+    /// reached across a peering edge is a single peer crossing (up, peer,
+    /// down). So this is the minimum over both valley-free cases, found in
+    /// one sorted merge of O(|reach| + |other|), independent of graph
+    /// size.
+    fn distance_to(&self, other: &UphillCone) -> Option<u32> {
+        let (a, b) = (&self.reach, &other.entries);
+        let mut best: Option<u32> = None;
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let ((node, hops), eb) = (a[i], b[j]);
+            match node.cmp(&eb.node) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    let total = hops + eb.dist;
+                    if best.is_none_or(|d| total < d) {
+                        best = Some(total);
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        best
     }
 }
 
@@ -144,8 +199,7 @@ impl<'g> PathOracle<'g> {
             std::mem::swap(&mut frontier, &mut next);
             next.clear();
         }
-        entries.sort_unstable_by_key(|e| e.node);
-        let cone = Arc::new(UphillCone { entries });
+        let cone = Arc::new(UphillCone::new(&self.dense, entries));
         self.uphill
             .write()
             .unwrap_or_else(PoisonError::into_inner)
@@ -178,9 +232,7 @@ impl<'g> PathOracle<'g> {
         if na == nb {
             return Some(0);
         }
-        let ca = self.cone(na);
-        let cb = self.cone(nb);
-        self.cone_distance(&ca, &cb)
+        self.cone(na).distance_to(&self.cone(nb))
     }
 
     /// Shortest valley-free path between two ASes as a sequence of ASNs
@@ -235,76 +287,40 @@ impl<'g> PathOracle<'g> {
         best.map(|(d, top_a, peer_b)| (d, join_paths(&self.dense, &ca, &cb, na, nb, top_a, peer_b)))
     }
 
-    /// Shortest valley-free distance between two already-computed cones:
-    /// the minimum over common uphill ancestors (a sorted merge of the
-    /// two entry lists) and over single peer crossings, without path
-    /// reconstruction. O(|ca| + |cb| + peer edges of ca), independent of
-    /// graph size.
-    fn cone_distance(&self, ca: &UphillCone, cb: &UphillCone) -> Option<u32> {
-        let mut best: Option<u32> = None;
-        let (mut i, mut j) = (0, 0);
-        while i < ca.entries.len() && j < cb.entries.len() {
-            let (ea, eb) = (ca.entries[i], cb.entries[j]);
-            match ea.node.cmp(&eb.node) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let total = ea.dist + eb.dist;
-                    if best.is_none_or(|d| total < d) {
-                        best = Some(total);
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        for e in &ca.entries {
-            for &w in self.dense.peers(NodeId(e.node)) {
-                let Some(ew) = cb.get(w) else { continue };
-                let total = e.dist + 1 + ew.dist;
-                if best.is_none_or(|d| total < d) {
-                    best = Some(total);
-                }
-            }
-        }
-        best
-    }
-
-    /// Batched valley-free distances over a set of ASes: computes each
-    /// distinct endpoint's uphill cone exactly once (via the shared cone
-    /// cache) and intersects cones pairwise with linear array scans.
+    /// Batched valley-free distances over a set of ASes: resolves each
+    /// distinct endpoint's uphill cone once (via the shared cone cache)
+    /// and computes each distinct pair's distance once.
     ///
     /// `result[i][j]` equals `hop_distance(asns[i], asns[j])`: the matrix
     /// is symmetric, the diagonal is `Some(0)` for known ASes, and rows
-    /// and columns of unknown ASes are all `None`. Repeated ASNs are
-    /// memoized per distinct pair, so a `k`-element query costs
-    /// O(k · BFS + k² · n) instead of the O(k² · cone-merge) the per-pair
-    /// loop paid.
+    /// and columns of unknown ASes are all `None`.
     pub fn pairwise_distances(&self, asns: &[Asn]) -> Vec<Vec<Option<u32>>> {
-        let k = asns.len();
         let ids: Vec<Option<NodeId>> = asns.iter().map(|a| self.dense.node_id(*a)).collect();
-        let mut out = vec![vec![None; k]; k];
-        let mut memo: HashMap<(u32, u32), Option<u32>> = HashMap::new();
-        for i in 0..k {
-            let Some(ni) = ids[i] else { continue };
-            out[i][i] = Some(0);
-            for j in (i + 1)..k {
-                let Some(nj) = ids[j] else { continue };
-                let d = if ni == nj {
-                    Some(0)
-                } else {
-                    let key = if ni.0 <= nj.0 { (ni.0, nj.0) } else { (nj.0, ni.0) };
-                    *memo.entry(key).or_insert_with(|| {
-                        let ca = self.cone(ni);
-                        let cb = self.cone(nj);
-                        self.cone_distance(&ca, &cb)
-                    })
-                };
-                out[i][j] = d;
-                out[j][i] = d;
+        let mut uniq: Vec<NodeId> = ids.iter().flatten().copied().collect();
+        uniq.sort_unstable();
+        uniq.dedup();
+        let cones: Vec<Arc<UphillCone>> = uniq.iter().map(|&n| self.cone(n)).collect();
+        let u = uniq.len();
+        let mut dist = vec![Some(0); u * u];
+        for x in 0..u {
+            for y in (x + 1)..u {
+                let d = cones[x].distance_to(&cones[y]);
+                dist[x * u + y] = d;
+                dist[y * u + x] = d;
             }
         }
-        out
+        let slot: Vec<Option<usize>> =
+            ids.iter().map(|id| id.and_then(|n| uniq.binary_search(&n).ok())).collect();
+        slot.iter()
+            .map(|si| {
+                slot.iter()
+                    .map(|sj| match (si, sj) {
+                        (Some(x), Some(y)) => dist[x * u + y],
+                        _ => None,
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// Downhill BFS from `start` over provider→customer edges: flat
@@ -457,17 +473,16 @@ impl<'g> PathOracle<'g> {
                 Err(i) => uniq.insert(i, (*a, 1)),
             }
         }
-        let ids: Vec<Option<NodeId>> = uniq.iter().map(|(a, _)| self.dense.node_id(*a)).collect();
+        let cones: Vec<(Arc<UphillCone>, u64)> = uniq
+            .iter()
+            .filter_map(|(a, c)| Some((self.cone(self.dense.node_id(*a)?), *c)))
+            .collect();
         let mut total = 0u64;
         let mut count = 0u64;
-        for i in 0..uniq.len() {
-            let Some(ni) = ids[i] else { continue };
-            let ca = self.cone(ni);
-            for j in (i + 1)..uniq.len() {
-                let Some(nj) = ids[j] else { continue };
-                let cb = self.cone(nj);
-                if let Some(d) = self.cone_distance(&ca, &cb) {
-                    let pairs = uniq[i].1 * uniq[j].1;
+        for (i, (ca, ci)) in cones.iter().enumerate() {
+            for (cb, cj) in &cones[i + 1..] {
+                if let Some(d) = ca.distance_to(cb) {
+                    let pairs = ci * cj;
                     total += d as u64 * pairs;
                     count += pairs;
                 }
@@ -674,6 +689,65 @@ mod tests {
         assert_eq!(o.mean_pairwise_distance(&[]), 0.0);
         // Duplicates are skipped.
         assert_eq!(o.mean_pairwise_distance(&[Asn(5), Asn(5)]), 0.0);
+    }
+
+    #[test]
+    fn reach_list_keeps_tier2_peering_and_per_node_minimum() {
+        // Provider → customer: 1→3, 1→7, 2→4, 7→8, 8→3, 3→5, 4→6, 7→9.
+        // Peerings: 1~2 (tier-1), 3~4 and 3~7 (tier-2). 7 sits in 3's
+        // uphill cone (3 climbs to 8, then 7) and is also 3's peer.
+        let mut g = AsGraph::new();
+        for (asn, tier) in [
+            (1, Tier::Tier1),
+            (2, Tier::Tier1),
+            (3, Tier::Tier2),
+            (4, Tier::Tier2),
+            (7, Tier::Tier2),
+            (8, Tier::Tier2),
+            (5, Tier::Stub),
+            (6, Tier::Stub),
+            (9, Tier::Stub),
+        ] {
+            g.add_as(Asn(asn), tier, 0);
+        }
+        for (a, b, rel) in [
+            (1, 2, Relationship::Peer),
+            (1, 3, Relationship::Customer),
+            (2, 4, Relationship::Customer),
+            (3, 4, Relationship::Peer),
+            (1, 7, Relationship::Customer),
+            (7, 8, Relationship::Customer),
+            (8, 3, Relationship::Customer),
+            (3, 7, Relationship::Peer),
+            (3, 5, Relationship::Customer),
+            (4, 6, Relationship::Customer),
+            (7, 9, Relationship::Customer),
+        ] {
+            g.add_edge(Asn(a), Asn(b), rel).unwrap();
+        }
+        let o = PathOracle::new(&g);
+        // Only the tier-2 peering gives 3 hops; over the tier-1s it is 5.
+        assert_eq!(o.hop_distance(Asn(5), Asn(6)), Some(3));
+        assert_eq!(o.path(Asn(5), Asn(6)), Some(vec![Asn(5), Asn(3), Asn(4), Asn(6)]));
+        // 7 is in 5's cone at 3 hops (5-3-8-7) and one peer hop away at
+        // 2 (5-3~7): the reach list must keep 2, or 5→9 reads 4.
+        let n7 = o.dense.node_id(Asn(7)).unwrap();
+        let c5 = o.cone(o.dense.node_id(Asn(5)).unwrap());
+        assert_eq!(c5.get(n7).unwrap().dist, 3);
+        assert_eq!(c5.reach.iter().find(|r| r.0 == n7.0), Some(&(n7.0, 2)));
+        assert_eq!(o.hop_distance(Asn(5), Asn(9)), Some(3));
+        assert_eq!(o.hop_distance(Asn(9), Asn(5)), Some(3));
+        assert_eq!(o.path(Asn(5), Asn(9)), Some(vec![Asn(5), Asn(3), Asn(7), Asn(9)]));
+        // Every pair agrees with the independently reconstructed path.
+        let all: Vec<Asn> = g.asns().collect();
+        let matrix = o.pairwise_distances(&all);
+        for (i, a) in all.iter().enumerate() {
+            for (j, b) in all.iter().enumerate() {
+                let via_path = o.path(*a, *b).map(|p| p.len() as u32 - 1);
+                assert_eq!(o.hop_distance(*a, *b), via_path, "{a} -> {b}");
+                assert_eq!(matrix[i][j], via_path, "{a} -> {b}");
+            }
+        }
     }
 
     #[test]

@@ -108,6 +108,41 @@ proptest! {
         }
     }
 
+    /// The merged Eq. 4 distance agrees with the length of the path the
+    /// two-case search reconstructs, for every pair of ASes; and the
+    /// collapsed mean over an input with repeats equals the naive
+    /// per-occurrence `i < j` loop bit for bit.
+    #[test]
+    fn hop_distance_matches_reconstructed_path(config in arb_config(), seed in 0u64..500) {
+        let topo = TopologyGenerator::new(config, seed).generate().unwrap();
+        let oracle = PathOracle::new(&topo);
+        let asns: Vec<Asn> = topo.asns().collect();
+        for a in &asns {
+            for b in &asns {
+                let via_path = oracle.path(*a, *b).map(|p| p.len() as u32 - 1);
+                prop_assert_eq!(oracle.hop_distance(*a, *b), via_path);
+            }
+        }
+
+        let mut input: Vec<Asn> = asns.iter().copied().step_by(3).collect();
+        input.extend(asns.iter().copied().step_by(5));
+        input.push(Asn(u32::MAX));
+        let (mut total, mut count) = (0u64, 0u64);
+        for (i, a) in input.iter().enumerate() {
+            for b in &input[i + 1..] {
+                if a == b {
+                    continue;
+                }
+                if let Some(d) = oracle.hop_distance(*a, *b) {
+                    total += d as u64;
+                    count += 1;
+                }
+            }
+        }
+        let naive = if count == 0 { 0.0 } else { total as f64 / count as f64 };
+        prop_assert_eq!(oracle.mean_pairwise_distance(&input).to_bits(), naive.to_bits());
+    }
+
     /// Concurrent batched queries through the deterministic sharded
     /// executor return bit-for-bit the same matrices as serial calls:
     /// the Arc-cached cones behave as pure values under racing recompute.

@@ -537,8 +537,10 @@ impl Pipeline {
             }
             let Ok(mag_pred) = model.predict_magnitudes(&test) else { continue };
             let mag_truth = FeatureExtractor::magnitude_series(&test);
-            let Ok(src_pred) = model.predict_source_dist(&fx, &test) else { continue };
-            let src_truth = fx.source_distribution_series(&test)?;
+            let Ok(src_truth) = fx.source_distribution_series(&test) else { continue };
+            let Ok(src_pred) = model.source_dist_model().predict_rolling(&src_truth) else {
+                continue;
+            };
             per_family.push(FamilyTemporalResult {
                 family,
                 name: corpus.catalog().profile(family)?.name.clone(),
@@ -903,7 +905,7 @@ impl Pipeline {
                 // Feature 3: ASN-distribution coefficient A^s.
                 let train_s = fx.source_distribution_series(&train)?;
                 let test_s = fx.source_distribution_series(&test)?;
-                if let Ok(pred) = model.predict_source_dist(&fx, &test) {
+                if let Ok(pred) = model.source_dist_model().predict_rolling(&test_s) {
                     table.push(&name, "asn_dist", "Temporal/Spatial", rmse(&pred, &test_s)?);
                     self.push_baselines(&mut table, &name, "asn_dist", &train_s, &test_s)?;
                 }
